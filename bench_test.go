@@ -352,7 +352,7 @@ func BenchmarkIndexProbe(b *testing.B) {
 	lit := xpath.StringValue(tpox.SymbolOf(42))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := idx.Scan(xpath.OpEq, lit, func(xindex.Ref) bool { return true })
+		n := idx.Scan(idx.Def.Pattern, xpath.OpEq, lit, func(xindex.Ref) bool { return true })
 		if n != 1 {
 			b.Fatalf("probe hits = %d", n)
 		}

@@ -300,18 +300,19 @@ func (e *Engine) executePlan(plan *optimizer.Plan, view View, qt *obs.QueryTrace
 }
 
 // matchDocs finds the documents satisfying the statement's normalized
-// path, either by table scan or via the plan's index accesses. With a
-// trace attached it records the index-scan and xpath-verify spans and,
-// for every costed plan node, the optimizer's estimated cardinality
-// next to the observed actual.
-func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, error) {
+// path, either by table scan or via the plan's index accesses, and
+// returns beside each document the nodes the path bound in it, so a
+// query need not evaluate the path a second time. With a trace attached
+// it records the index-scan and xpath-verify spans and, for every
+// costed plan node, the optimizer's estimated cardinality next to the
+// observed actual.
+func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, [][]xmltree.NodeID, error) {
 	stmt := plan.Stmt
 	tbl, err := e.db.Table(stmt.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	norm := stmt.NormalizedPath()
-	var out []*xmltree.Document
+	m := matcher{norm: stmt.NormalizedPath(), st: st}
 
 	if !plan.UsesIndexes() {
 		var scanStart time.Time
@@ -321,20 +322,17 @@ func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.Q
 		scanned := int64(0)
 		tbl.Scan(func(doc *xmltree.Document) bool {
 			scanned++
-			st.NodesScanned += int64(doc.Len())
-			if len(xpath.Eval(doc, norm)) > 0 {
-				out = append(out, doc)
-			}
+			m.verify(doc)
 			return true
 		})
 		if qt != nil {
-			span := qt.Span("xpath verify", time.Since(scanStart), int64(len(out)))
+			span := qt.Span("xpath verify", time.Since(scanStart), int64(len(m.docs)))
 			qt.AddNodes(span,
 				obs.NodeCard{Op: optimizer.OpTbScan, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: scanned},
-				obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(out))},
+				obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(m.docs))},
 			)
 		}
-		return out, nil
+		return m.docs, m.bound, nil
 	}
 
 	// Index ANDing: intersect candidate document sets from each access.
@@ -347,11 +345,11 @@ func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.Q
 	for _, acc := range plan.Accesses {
 		idx, ok := view.Get(acc.Index)
 		if !ok {
-			return nil, fmt.Errorf("engine: plan references unmaterialized index %s", acc.Index)
+			return nil, nil, fmt.Errorf("engine: plan references unmaterialized index %s", acc.Index)
 		}
 		st.IndexProbes++
 		docSet := make(map[int64]bool)
-		entries := int64(idx.Scan(acc.Site.Op, acc.Site.Lit, func(r xindex.Ref) bool {
+		entries := int64(idx.Scan(acc.Site.Pattern, acc.Site.Op, acc.Site.Lit, func(r xindex.Ref) bool {
 			docSet[r.Doc] = true
 			return true
 		}))
@@ -388,7 +386,7 @@ func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.Q
 				obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: 0},
 			)
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
 	ids := make([]int64, 0, len(candidates))
 	for id := range candidates {
@@ -401,36 +399,56 @@ func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.Q
 			continue
 		}
 		st.DocsFetched++
-		st.NodesScanned += int64(doc.Len()) // verification re-evaluates the path
-		if len(xpath.Eval(doc, norm)) > 0 {
-			out = append(out, doc)
-		}
+		m.verify(doc) // verification re-evaluates the path
 	}
 	if qt != nil {
-		span := qt.Span("xpath verify", time.Since(scanStart), int64(len(out)))
+		span := qt.Span("xpath verify", time.Since(scanStart), int64(len(m.docs)))
 		qt.AddNodes(span,
 			obs.NodeCard{Op: optimizer.OpFetch, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: int64(len(ids))},
-			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(out))},
+			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(m.docs))},
 		)
 	}
-	return out, nil
+	return m.docs, m.bound, nil
 }
 
 func (e *Engine) runQuery(plan *optimizer.Plan, view View, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
 	var st Stats
-	docs, err := e.matchDocs(plan, view, &st, qt)
+	docs, bound, err := e.matchDocs(plan, view, &st, qt)
 	if err != nil {
 		return nil, st, err
 	}
-	norm := plan.Stmt.NormalizedPath()
+	return boundRefs(docs, bound, &st), st, nil
+}
+
+// matcher collects the documents a normalized path binds nodes in,
+// with the bound nodes, charging each evaluated document to the scan
+// counters.
+type matcher struct {
+	norm  xpath.Path
+	st    *Stats
+	docs  []*xmltree.Document
+	bound [][]xmltree.NodeID
+}
+
+func (m *matcher) verify(d *xmltree.Document) {
+	m.st.NodesScanned += int64(d.Len())
+	if nodes := xpath.Eval(d, m.norm); len(nodes) > 0 {
+		m.docs = append(m.docs, d)
+		m.bound = append(m.bound, nodes)
+	}
+}
+
+// boundRefs flattens matchDocs' bound nodes into result references in
+// document order.
+func boundRefs(docs []*xmltree.Document, bound [][]xmltree.NodeID, st *Stats) []xindex.Ref {
 	var refs []xindex.Ref
-	for _, doc := range docs {
-		for _, id := range xpath.Eval(doc, norm) {
+	for i, doc := range docs {
+		for _, id := range bound[i] {
 			refs = append(refs, xindex.Ref{Doc: doc.DocID, Node: id})
-			st.ResultCount++
 		}
 	}
-	return refs, st, nil
+	st.ResultCount += int64(len(refs))
+	return refs
 }
 
 // maintain applies one maintenance callback to every engine-maintained
@@ -466,7 +484,7 @@ func (e *Engine) runInsert(stmt *xquery.Statement, view View) (Stats, error) {
 
 func (e *Engine) runDelete(plan *optimizer.Plan, view View, qt *obs.QueryTrace) (Stats, error) {
 	var st Stats
-	docs, err := e.matchDocs(plan, view, &st, qt)
+	docs, _, err := e.matchDocs(plan, view, &st, qt)
 	if err != nil {
 		return st, err
 	}
@@ -486,7 +504,7 @@ func (e *Engine) runDelete(plan *optimizer.Plan, view View, qt *obs.QueryTrace) 
 func (e *Engine) runUpdate(plan *optimizer.Plan, view View, qt *obs.QueryTrace) (Stats, error) {
 	var st Stats
 	stmt := plan.Stmt
-	docs, err := e.matchDocs(plan, view, &st, qt)
+	docs, _, err := e.matchDocs(plan, view, &st, qt)
 	if err != nil {
 		return st, err
 	}

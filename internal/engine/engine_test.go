@@ -219,7 +219,7 @@ func TestUpdateExecution(t *testing.T) {
 	}
 	// The new value must be visible through the index.
 	n := 0
-	yieldIdx.Scan(xpath.OpEq, xpath.NumberValue(99.5), func(xindex.Ref) bool { n++; return true })
+	yieldIdx.Scan(yieldIdx.Def.Pattern, xpath.OpEq, xpath.NumberValue(99.5), func(xindex.Ref) bool { n++; return true })
 	if n != 1 {
 		t.Errorf("index lookup of updated value found %d entries", n)
 	}

@@ -117,60 +117,133 @@ func randomEquivIndexes(r *rand.Rand) []xindex.Definition {
 	return out
 }
 
+// indexPlansMatchScans runs each query through an engine without
+// indexes and through one over real indexes built from defs, and
+// reports whether every index-engine result equals the scan's, with the
+// index engine's work counters per query. label prefixes log lines.
+func indexPlansMatchScans(t *testing.T, label string, db *storage.Database, tbl *storage.Table, defs []xindex.Definition, queries []string) ([]Stats, bool) {
+	opt := optimizer.New(db, optimizer.CollectStats(db))
+
+	// Baseline engine: no indexes.
+	scanEng := New(db, opt, NewCatalog())
+
+	// Indexed engine: the given real configuration.
+	cat := NewCatalog()
+	for _, def := range defs {
+		idx, err := xindex.Build(tbl, def)
+		if err != nil {
+			t.Logf("%s: build: %v", label, err)
+			return nil, false
+		}
+		cat.Add(idx)
+	}
+	idxEng := New(db, opt, cat)
+
+	var stats []Stats
+	for _, text := range queries {
+		stmt, err := xquery.Parse(text)
+		if err != nil {
+			t.Logf("%s: parse %q: %v", label, text, err)
+			return nil, false
+		}
+		want, _, err := scanEng.Execute(stmt)
+		if err != nil {
+			t.Logf("%s: scan exec: %v", label, err)
+			return nil, false
+		}
+		got, st, err := idxEng.Execute(stmt)
+		if err != nil {
+			t.Logf("%s: index exec: %v", label, err)
+			return nil, false
+		}
+		if len(got) != len(want) {
+			t.Logf("%s query %q: index plan %d results, scan %d",
+				label, text, len(got), len(want))
+			return nil, false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Logf("%s query %q: result %d differs", label, text, i)
+				return nil, false
+			}
+		}
+		stats = append(stats, st)
+	}
+	return stats, true
+}
+
 func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
+	t.Run("wildcard index", testWildcardIndexPlanEquivalentToScan)
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db, tbl := randomEquivDB(r)
-		opt := optimizer.New(db, optimizer.CollectStats(db))
-
-		// Baseline engine: no indexes.
-		scanEng := New(db, opt, NewCatalog())
-
-		// Indexed engine: random real configuration.
-		cat := NewCatalog()
-		for _, def := range randomEquivIndexes(r) {
-			idx, err := xindex.Build(tbl, def)
-			if err != nil {
-				t.Logf("seed %d: build: %v", seed, err)
-				return false
-			}
-			cat.Add(idx)
+		queries := make([]string, 8)
+		for q := range queries {
+			queries[q] = randomEquivQuery(r)
 		}
-		idxEng := New(db, opt, cat)
-
-		for q := 0; q < 8; q++ {
-			text := randomEquivQuery(r)
-			stmt, err := xquery.Parse(text)
-			if err != nil {
-				t.Logf("seed %d: parse %q: %v", seed, text, err)
-				return false
-			}
-			want, _, err := scanEng.Execute(stmt)
-			if err != nil {
-				t.Logf("seed %d: scan exec: %v", seed, err)
-				return false
-			}
-			got, _, err := idxEng.Execute(stmt)
-			if err != nil {
-				t.Logf("seed %d: index exec: %v", seed, err)
-				return false
-			}
-			if len(got) != len(want) {
-				t.Logf("seed %d query %q: index plan %d results, scan %d",
-					seed, text, len(got), len(want))
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Logf("seed %d query %q: result %d differs", seed, text, i)
-					return false
-				}
-			}
-		}
-		return true
+		_, ok := indexPlansMatchScans(t, fmt.Sprintf("seed %d", seed), db, tbl, randomEquivIndexes(r), queries)
+		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// testWildcardIndexPlanEquivalentToScan is the fixed input of the
+// equivalence test for a generalized index: /Security/* numerical
+// probed for the PE and Yield sites of TPoX Q4's shape. One document's
+// Yield lies inside the PE range; the index plan must return the scan's
+// results and fetch exactly the documents a site-exact index (one per
+// predicate path) would produce.
+func testWildcardIndexPlanEquivalentToScan(t *testing.T) {
+	db := storage.NewDatabase()
+	tbl := db.MustCreateTable("T")
+	for i := 0; i < 200; i++ {
+		pe, yield := 5+i%40, 50+i%10
+		if i == 7 {
+			pe, yield = 30, 3 // Yield inside the PE range, PE outside it
+		}
+		tbl.Insert(xmltree.MustParse(fmt.Sprintf(
+			`<Security><Symbol>S%d</Symbol><Name>Name %d</Name><PE>%d</PE><Yield>%d</Yield><Price><Open>%d</Open><Close>%d</Close></Price></Security>`,
+			i, i, pe, yield, 10+i, 11+i)))
+	}
+	defs := []xindex.Definition{{Table: "T", Pattern: xpath.MustParsePattern("/Security/*"), Type: xpath.NumberVal}}
+	queries := []string{
+		`T('DOC')/Security[PE<7]`,
+		`for $sec in T('DOC')/Security[PE<7] where $sec/Yield >= 55 return $sec/Symbol`,
+	}
+	stats, ok := indexPlansMatchScans(t, "wildcard", db, tbl, defs, queries)
+	if !ok {
+		t.Fatal("index plan results differ from the scan")
+	}
+	opt := optimizer.New(db, optimizer.CollectStats(db))
+	for i, text := range queries {
+		plan, err := opt.EvaluateIndexes(xquery.MustParse(text), defs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.UsesIndexes() || stats[i].IndexProbes == 0 {
+			t.Fatalf("%q: want an index plan over %s, got %s", text, defs[0], plan)
+		}
+		// Site-exact candidates: documents with a node on each access's
+		// site path satisfying its comparison, intersected.
+		want := 0
+		tbl.Scan(func(doc *xmltree.Document) bool {
+			for _, acc := range plan.Accesses {
+				hit := false
+				for _, id := range xpath.Eval(doc, acc.Site.Pattern) {
+					hit = hit || xpath.CompareNodeValue(doc, id, acc.Site.Op, acc.Site.Lit)
+				}
+				if !hit {
+					return true
+				}
+			}
+			want++
+			return true
+		})
+		if stats[i].DocsFetched != int64(want) {
+			t.Errorf("%q: fetched %d documents, site-exact candidates %d", text, stats[i].DocsFetched, want)
+		}
 	}
 }
 

@@ -129,28 +129,28 @@ func (tx *Txn) ExecuteTraced(stmt *xquery.Statement, qt *obs.QueryTrace) ([]xind
 }
 
 // matchDocs finds the documents satisfying the statement's normalized
-// path in the transaction's view of the table: snapshot versions with
+// path in the transaction's view of the table — snapshot versions with
 // this transaction's deletes hidden, replacements substituted, and
-// uncommitted inserts appended. When the optimizer picks an index plan
+// uncommitted inserts appended — and the nodes the path bound in each
+// (see Engine.matchDocs). When the optimizer picks an index plan
 // and every chosen index can answer as of the snapshot's stamp, the
 // candidates come from version-aware index scans instead of a table
 // scan; otherwise (no usable plan, or an index too young or not
 // self-maintained) the snapshot is scanned as before.
-func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, error) {
+func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, [][]xmltree.NodeID, error) {
 	tv, err := tx.snap.Table(stmt.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	norm := stmt.NormalizedPath()
 	ov := tx.overlays[stmt.Table]
-	if out, ok := tx.matchViaIndexes(stmt, tv, ov, st, qt); ok {
-		return out, nil
+	if out, bound, ok := tx.matchViaIndexes(stmt, tv, ov, st, qt); ok {
+		return out, bound, nil
 	}
 	var scanStart time.Time
 	if qt != nil {
 		scanStart = time.Now()
 	}
-	var out []*xmltree.Document
+	m := matcher{norm: stmt.NormalizedPath(), st: st}
 	tv.Scan(func(d *xmltree.Document) bool {
 		if ov != nil {
 			if ov.deleted[d.DocID] {
@@ -160,26 +160,20 @@ func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) 
 				d = r
 			}
 		}
-		st.NodesScanned += int64(d.Len())
-		if len(xpath.Eval(d, norm)) > 0 {
-			out = append(out, d)
-		}
+		m.verify(d)
 		return true
 	})
 	if ov != nil {
 		for _, d := range ov.inserted {
-			st.NodesScanned += int64(d.Len())
-			if len(xpath.Eval(d, norm)) > 0 {
-				out = append(out, d)
-			}
+			m.verify(d)
 		}
 	}
 	if qt != nil {
 		// The scan fallback has no costed plan (matchViaIndexes declined
 		// or planning failed), so the span carries no estimate cards.
-		qt.Span("xpath verify", time.Since(scanStart), int64(len(out)))
+		qt.Span("xpath verify", time.Since(scanStart), int64(len(m.docs)))
 	}
-	return out, nil
+	return m.docs, m.bound, nil
 }
 
 // matchViaIndexes answers a statement's match phase from version-aware
@@ -196,12 +190,12 @@ func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) 
 // this transaction's deletes hide candidates. Every surviving candidate
 // is re-verified against the full path — index ANDing over linear
 // predicate sites over-approximates the match set.
-func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov *overlay, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, bool) {
+func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov *overlay, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, [][]xmltree.NodeID, bool) {
 	defs := tx.view.Definitions()
 	if len(defs) == 0 {
 		// Nothing materialized: skip planning entirely (the plan cost
 		// would dwarf the scan on every conflict retry).
-		return nil, false
+		return nil, nil, false
 	}
 	var optStart time.Time
 	if qt != nil {
@@ -212,14 +206,14 @@ func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov
 		qt.Span("optimize", time.Since(optStart), 0)
 	}
 	if err != nil || !plan.UsesIndexes() {
-		return nil, false
+		return nil, nil, false
 	}
 	asOf := tx.snap.LSN()
 	indexes := make([]*xindex.Index, len(plan.Accesses))
 	for i, acc := range plan.Accesses {
 		idx, ok := tx.view.Get(acc.Index)
 		if !ok || !idx.SelfMaintained() || asOf < idx.VersionedSince() {
-			return nil, false
+			return nil, nil, false
 		}
 		indexes[i] = idx
 	}
@@ -235,7 +229,7 @@ func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov
 	for i, acc := range plan.Accesses {
 		st.IndexProbes++
 		docSet := make(map[int64]bool)
-		entries := int64(indexes[i].ScanAsOf(acc.Site.Op, acc.Site.Lit, asOf, func(r xindex.Ref) bool {
+		entries := int64(indexes[i].ScanAsOf(acc.Site.Pattern, acc.Site.Op, acc.Site.Lit, asOf, func(r xindex.Ref) bool {
 			docSet[r.Doc] = true
 			return true
 		}))
@@ -284,8 +278,7 @@ func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	norm := stmt.NormalizedPath()
-	var out []*xmltree.Document
+	m := matcher{norm: stmt.NormalizedPath(), st: st}
 	for _, id := range ids {
 		var d *xmltree.Document
 		if ov != nil {
@@ -300,43 +293,29 @@ func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov
 			}
 			d = sd
 		}
-		st.NodesScanned += int64(d.Len()) // verification re-evaluates the path
-		if len(xpath.Eval(d, norm)) > 0 {
-			out = append(out, d)
-		}
+		m.verify(d) // verification re-evaluates the path
 	}
 	if ov != nil {
 		for _, d := range ov.inserted {
-			st.NodesScanned += int64(d.Len())
-			if len(xpath.Eval(d, norm)) > 0 {
-				out = append(out, d)
-			}
+			m.verify(d)
 		}
 	}
 	if qt != nil {
-		span := qt.Span("xpath verify", time.Since(scanStart), int64(len(out)))
+		span := qt.Span("xpath verify", time.Since(scanStart), int64(len(m.docs)))
 		qt.AddNodes(span,
 			obs.NodeCard{Op: optimizer.OpFetch, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: int64(len(ids))},
-			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(out))},
+			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(m.docs))},
 		)
 	}
-	return out, true
+	return m.docs, m.bound, true
 }
 
 func (tx *Txn) runQuery(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) ([]xindex.Ref, error) {
-	docs, err := tx.matchDocs(stmt, st, qt)
+	docs, bound, err := tx.matchDocs(stmt, st, qt)
 	if err != nil {
 		return nil, err
 	}
-	norm := stmt.NormalizedPath()
-	var refs []xindex.Ref
-	for _, doc := range docs {
-		for _, id := range xpath.Eval(doc, norm) {
-			refs = append(refs, xindex.Ref{Doc: doc.DocID, Node: id})
-			st.ResultCount++
-		}
-	}
-	return refs, nil
+	return boundRefs(docs, bound, st), nil
 }
 
 func (tx *Txn) runInsert(stmt *xquery.Statement, st *Stats) error {
@@ -378,7 +357,7 @@ func (tx *Txn) dropProvisional(table string, provID int64) {
 }
 
 func (tx *Txn) runDelete(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) error {
-	docs, err := tx.matchDocs(stmt, st, qt)
+	docs, _, err := tx.matchDocs(stmt, st, qt)
 	if err != nil {
 		return err
 	}
@@ -399,7 +378,7 @@ func (tx *Txn) runDelete(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) 
 }
 
 func (tx *Txn) runUpdate(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) error {
-	docs, err := tx.matchDocs(stmt, st, qt)
+	docs, _, err := tx.matchDocs(stmt, st, qt)
 	if err != nil {
 		return err
 	}

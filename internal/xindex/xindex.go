@@ -2,8 +2,25 @@
 // defined by a linear XPath pattern and a data type, as created in DB2 9
 // with CREATE INDEX ... GENERATE KEY USING XMLPATTERN (paper §II, §III).
 //
-// An index contains one entry per node reachable by its pattern, keyed
-// by the node's typed value and carrying a (document, node) reference.
+// An index contains one entry per node reachable by its pattern,
+// carrying a (document, node) reference. As in DB2, where an XML value
+// index key puts the path ID ahead of the typed value, a key here is
+//
+//	PathID (4 bytes, big-endian) | type tag | value
+//
+// with the PathID taken from the owning table's path dictionary. A scan
+// for a predicate site therefore reads one key range per dictionary path
+// that both the index pattern and the site pattern match: a generalized
+// /Security/* index probed for /Security/PE reads PE's entries only, not
+// those of its sibling paths. Nodes without a path in the table
+// dictionary (documents not interned against it, and every node of an
+// index whose pattern the path NFA cannot compile) are keyed under one
+// sentinel prefix, which every scan also reads. The optimizer's IXSCAN
+// entry estimate still prices a wildcard index from the merged
+// histogram of all its paths, so it overestimates these scans; it is
+// left so on purpose, keeping plans and advisor output unchanged (see
+// DESIGN.md, "Path-qualified index keys").
+//
 // Real indexes are backed by a B+-tree; virtual indexes carry only the
 // statistics derived from the path synopsis and are what the optimizer
 // manipulates in its Enumerate/Evaluate modes.
@@ -16,6 +33,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xixa/internal/btree"
 	"xixa/internal/storage"
@@ -74,17 +92,34 @@ func unpackRef(v uint64) Ref {
 	return Ref{Doc: int64(v >> 24), Node: xmltree.NodeID(v & 0xFFFFFF)}
 }
 
+// sentinelPath is the key prefix of entries whose node has no path in
+// the table dictionary. PathIDs are non-negative int32s, so it sorts
+// after every real path; every scan reads its range.
+const sentinelPath = math.MaxUint32
+
+// pathPrefixLen is the width of a key's big-endian PathID prefix.
+const pathPrefixLen = 4
+
 // EncodeKey produces the order-preserving byte encoding of a typed
-// value: strings are tagged raw bytes; doubles are tagged big-endian
-// with the sign bit flipped (and negative values complemented) so byte
-// order equals numeric order. NaN has no place in that order — callers
-// must filter NaN out (keyFor and Scan do) before encoding.
+// value — the part of an index key after its PathID prefix: strings are
+// tagged raw bytes; doubles are tagged big-endian with the sign bit
+// flipped (and negative values complemented) so byte order equals
+// numeric order. NaN has no place in that order — callers must filter
+// NaN out (keyFor and Scan do) before encoding.
 func EncodeKey(kind xpath.ValueKind, str string, num float64) []byte {
+	return appendValueKey(make([]byte, 0, valueKeyLen(kind, str)), kind, str, num)
+}
+
+func valueKeyLen(kind xpath.ValueKind, str string) int {
 	if kind == xpath.StringVal {
-		out := make([]byte, 1+len(str))
-		out[0] = 's'
-		copy(out[1:], str)
-		return out
+		return 1 + len(str)
+	}
+	return 9
+}
+
+func appendValueKey(dst []byte, kind xpath.ValueKind, str string, num float64) []byte {
+	if kind == xpath.StringVal {
+		return append(append(dst, 's'), str...)
 	}
 	bits := math.Float64bits(num)
 	if bits&(1<<63) != 0 {
@@ -92,10 +127,7 @@ func EncodeKey(kind xpath.ValueKind, str string, num float64) []byte {
 	} else {
 		bits |= 1 << 63
 	}
-	out := make([]byte, 9)
-	out[0] = 'n'
-	binary.BigEndian.PutUint64(out[1:], bits)
-	return out
+	return binary.BigEndian.AppendUint64(append(dst, 'n'), bits)
 }
 
 // Index is a materialized path-value index. An index is safe for
@@ -144,6 +176,16 @@ type Index struct {
 	// catchupEvents counts the change-feed events BuildOnline's catch-up
 	// phase replayed; fixed before the index is published.
 	catchupEvents int
+
+	// sentinelEntries counts the tree's entries under the sentinel
+	// path; scans skip that range while it is empty (guarded by mu).
+	sentinelEntries int
+
+	// sites caches, per predicate-site pattern, the dictionary paths a
+	// scan for that site reads (see sitePaths). Scans read it without
+	// locking; sitesMu serializes additions.
+	sites   atomic.Pointer[[]*sitePaths]
+	sitesMu sync.Mutex
 }
 
 // tomb is a dead index entry kept for snapshot scans: the entry's key
@@ -205,10 +247,12 @@ func (x *Index) matchingNodes(doc *xmltree.Document) []xmltree.NodeID {
 	return xpath.Eval(doc, x.Def.Pattern)
 }
 
-func (x *Index) keyFor(doc *xmltree.Document, id xmltree.NodeID) ([]byte, bool) {
+// keyFor builds the entry key of a node on the given path.
+func (x *Index) keyFor(doc *xmltree.Document, id xmltree.NodeID, path uint32) ([]byte, bool) {
 	// Extract the node text once; the numeric key parses the same
 	// string rather than re-walking the subtree.
 	s := strings.TrimSpace(doc.TextOf(id))
+	kind, num := xpath.StringVal, 0.0
 	if x.Def.Type == xpath.NumberVal {
 		v, ok := xmltree.ParseNumeric(s)
 		// NaN is an invalid index value (DB2's IGNORE INVALID VALUES):
@@ -218,16 +262,19 @@ func (x *Index) keyFor(doc *xmltree.Document, id xmltree.NodeID) ([]byte, bool) 
 		if !ok || math.IsNaN(v) {
 			return nil, false
 		}
-		return EncodeKey(xpath.NumberVal, "", v), true
+		kind, num, s = xpath.NumberVal, v, ""
 	}
-	return EncodeKey(xpath.StringVal, s, 0), true
+	key := make([]byte, pathPrefixLen, pathPrefixLen+valueKeyLen(kind, s))
+	binary.BigEndian.PutUint32(key, path)
+	return appendValueKey(key, kind, s, num), true
 }
 
 // eachMatch visits every node of the document the index pattern
-// reaches. Documents interned against the table dictionary are scanned
-// linearly against the precomputed matched-path set; others fall back
-// to pattern evaluation.
-func (x *Index) eachMatch(doc *xmltree.Document, visit func(id xmltree.NodeID)) {
+// reaches, with the path its key is prefixed by. Documents interned
+// against the table dictionary are scanned linearly against the
+// precomputed matched-path set; others fall back to pattern evaluation
+// and key under the sentinel path.
+func (x *Index) eachMatch(doc *xmltree.Document, visit func(id xmltree.NodeID, path uint32)) {
 	if doc.Dict == x.dict && x.dict != nil && len(doc.PathIDs) == doc.Len() {
 		matched := x.ensureMatched()
 		for i := range doc.Nodes {
@@ -236,13 +283,13 @@ func (x *Index) eachMatch(doc *xmltree.Document, visit func(id xmltree.NodeID)) 
 			}
 			pid := doc.PathIDs[i]
 			if pid >= 0 && int(pid) < len(matched) && matched[pid] {
-				visit(xmltree.NodeID(i))
+				visit(xmltree.NodeID(i), uint32(pid))
 			}
 		}
 		return
 	}
 	for _, id := range x.matchingNodes(doc) {
-		visit(id)
+		visit(id, sentinelPath)
 	}
 }
 
@@ -257,14 +304,17 @@ func (x *Index) insertDocAt(doc *xmltree.Document, stamp uint64) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	added := 0
-	x.eachMatch(doc, func(id xmltree.NodeID) {
-		key, ok := x.keyFor(doc, id)
+	x.eachMatch(doc, func(id xmltree.NodeID, path uint32) {
+		key, ok := x.keyFor(doc, id, path)
 		if !ok {
 			return
 		}
 		ref := packRef(Ref{Doc: doc.DocID, Node: id})
 		if x.tree.Insert(key, ref) {
 			added++
+			if path == sentinelPath {
+				x.sentinelEntries++
+			}
 			if stamp > 0 {
 				if x.borns == nil {
 					x.borns = make(map[uint64]uint64)
@@ -284,14 +334,17 @@ func (x *Index) deleteDocAt(doc *xmltree.Document, stamp uint64) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	removed := 0
-	x.eachMatch(doc, func(id xmltree.NodeID) {
-		key, ok := x.keyFor(doc, id)
+	x.eachMatch(doc, func(id xmltree.NodeID, path uint32) {
+		key, ok := x.keyFor(doc, id, path)
 		if !ok {
 			return
 		}
 		ref := packRef(Ref{Doc: doc.DocID, Node: id})
 		if x.tree.Delete(key, ref) {
 			removed++
+			if path == sentinelPath {
+				x.sentinelEntries--
+			}
 			born := x.borns[ref]
 			delete(x.borns, ref)
 			if stamp > 0 {
@@ -373,39 +426,80 @@ func (x *Index) Walk(visit func(key []byte, ref Ref) bool) {
 	})
 }
 
-// Scan visits entries satisfying (op, lit) in key order. For OpNe the
-// scan is a full scan with the equal keys skipped. It reports the
+// Scan visits the entries satisfying (op, lit) on the paths both the
+// index pattern and the predicate site's pattern match (site is an
+// absolute linear pattern; predicates are ignored), plus the sentinel
+// range. Entries arrive in key order: path by path, values ascending
+// within a path, sentinel entries last. For OpNe each path's range is
+// its full type range with the equal keys skipped. It reports the
 // number of index entries visited (the scan work), which the engine's
 // work counters use.
-func (x *Index) Scan(op xpath.CmpOp, lit xpath.Value, visit func(Ref) bool) int {
+func (x *Index) Scan(site xpath.Path, op xpath.CmpOp, lit xpath.Value, visit func(Ref) bool) int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return x.scanLocked(op, lit, visit)
-}
-
-func (x *Index) scanLocked(op xpath.CmpOp, lit xpath.Value, visit func(Ref) bool) int {
 	r, ok := x.scanBounds(op, lit)
 	if !ok {
 		return 0
 	}
-	return x.tree.AscendRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, v uint64) bool {
-		if r.skipEq != nil && string(k) == string(r.skipEq) {
-			return true
-		}
+	return x.ascendPaths(x.sitePathsLocked(site), r, func(v uint64) bool {
 		return visit(unpackRef(v))
 	})
 }
 
-// scanRange is the key-space interval a comparison translates to.
+// ascendPaths runs the value range r over each path of ps and then over
+// the sentinel path, if it holds entries, reporting the entries visited;
+// visit returns false to stop. The caller holds x.mu.
+func (x *Index) ascendPaths(ps *pathSet, r scanRange, visit func(v uint64) bool) int {
+	var small [64]byte // typical keys: no allocation per scan
+	var buf []byte
+	if n := 2*pathPrefixLen + len(r.lo) + len(r.hi); n <= len(small) {
+		buf = small[:n]
+	} else {
+		buf = make([]byte, n)
+	}
+	split := pathPrefixLen + len(r.lo)
+	lo, hi := buf[:split:split], buf[split:]
+	copy(lo[pathPrefixLen:], r.lo)
+	copy(hi[pathPrefixLen:], r.hi)
+	stopped := false
+	each := func(k []byte, v uint64) bool {
+		if r.skipEq != nil && bytes.Equal(k[pathPrefixLen:], r.skipEq) {
+			return true
+		}
+		if !visit(v) {
+			stopped = true
+			return false
+		}
+		return true
+	}
+	paths := len(ps.pids)
+	if x.sentinelEntries > 0 {
+		paths++
+	}
+	n := 0
+	for i := 0; i < paths && !stopped; i++ {
+		path := uint32(sentinelPath)
+		if i < len(ps.pids) {
+			path = ps.pids[i]
+		}
+		binary.BigEndian.PutUint32(lo, path)
+		binary.BigEndian.PutUint32(hi, path)
+		n += x.tree.AscendRange(lo, hi, r.loIncl, r.hiIncl, each)
+	}
+	return n
+}
+
+// scanRange is the value-key interval a comparison translates to; a
+// scan applies it under each path prefix it reads.
 type scanRange struct {
 	lo, hi         []byte
 	loIncl, hiIncl bool
 	skipEq         []byte // OpNe: full type range minus this key
 }
 
-// contains reports whether a key falls inside the range — the same
-// predicate AscendRange applies, for filtering keys held outside the
-// tree (the graveyard).
+// contains reports whether a value key falls inside the range — the
+// same predicate AscendRange applies, for filtering keys held outside
+// the tree (the graveyard).
 func (r scanRange) contains(k []byte) bool {
 	if r.skipEq != nil && bytes.Equal(k, r.skipEq) {
 		return false
@@ -423,7 +517,7 @@ func (r scanRange) contains(k []byte) bool {
 	return true
 }
 
-// scanBounds translates (op, lit) into the key range to scan; ok is
+// scanBounds translates (op, lit) into the value range to scan; ok is
 // false when the index cannot answer the comparison at all (type
 // mismatch, NaN, unknown operator).
 func (x *Index) scanBounds(op xpath.CmpOp, lit xpath.Value) (scanRange, bool) {
@@ -473,39 +567,145 @@ func (x *Index) VersionedSince() uint64 {
 	return x.versionedSince
 }
 
-// ScanAsOf visits the entries satisfying (op, lit) as of commit stamp
-// asOf: live entries born at or before asOf, plus graveyard entries
-// whose version was current at asOf (born <= asOf < died). Tree entries
-// arrive in key order; graveyard entries follow unordered — callers
-// intersect document sets, so order is immaterial. Valid only on a
-// self-maintained index with asOf >= VersionedSince; it returns the
-// number of entries visited, like Scan.
-func (x *Index) ScanAsOf(op xpath.CmpOp, lit xpath.Value, asOf uint64, visit func(Ref) bool) int {
+// ScanAsOf visits the entries satisfying (op, lit) on the site's paths
+// (as Scan) as of commit stamp asOf: live entries born at or before
+// asOf, plus graveyard entries whose version was current at asOf
+// (born <= asOf < died) and whose key falls in the same path ranges.
+// Tree entries arrive in key order; graveyard entries follow unordered
+// — callers intersect document sets, so order is immaterial. Valid only
+// on a self-maintained index with asOf >= VersionedSince; it returns
+// the number of entries visited, like Scan.
+func (x *Index) ScanAsOf(site xpath.Path, op xpath.CmpOp, lit xpath.Value, asOf uint64, visit func(Ref) bool) int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	r, ok := x.scanBounds(op, lit)
 	if !ok {
 		return 0
 	}
-	n := x.tree.AscendRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, v uint64) bool {
-		if r.skipEq != nil && string(k) == string(r.skipEq) {
-			return true
-		}
+	ps := x.sitePathsLocked(site)
+	stopped := false
+	n := x.ascendPaths(ps, r, func(v uint64) bool {
 		if x.borns[v] > asOf {
 			return true // version created after the snapshot
 		}
-		return visit(unpackRef(v))
+		stopped = !visit(unpackRef(v))
+		return !stopped
 	})
-	for i := range x.graveyard {
+	for i := 0; i < len(x.graveyard) && !stopped; i++ {
 		t := &x.graveyard[i]
-		if t.born <= asOf && asOf < t.died && r.contains(t.key) {
+		if t.born <= asOf && asOf < t.died && ps.reads(t.key) && r.contains(t.key[pathPrefixLen:]) {
 			n++
-			if !visit(unpackRef(t.ref)) {
-				break
-			}
+			stopped = !visit(unpackRef(t.ref))
 		}
 	}
 	return n
+}
+
+// sitePaths is the cached answer to "which key ranges does a scan for
+// this site read": the dictionary paths both the index pattern and the
+// site pattern match. It is extended as the dictionary grows, threading
+// the site pattern's NFA over the new entries only.
+type sitePaths struct {
+	site    xpath.Path         // predicate-free site pattern
+	matcher *xpath.PathMatcher // nil: the site cannot compile; every index path qualifies
+	mu      sync.Mutex         // serializes extension; guards states
+	states  []xpath.MatchState
+	set     atomic.Pointer[pathSet]
+}
+
+// pathSet is one immutable extent of a sitePaths: pids lists the
+// qualifying paths ascending, member[pid] tests one, and len(member)
+// is the number of dictionary entries decided. Extensions append past
+// the published lengths, so readers of an older extent are unaffected.
+type pathSet struct {
+	pids   []uint32
+	member []bool
+}
+
+// noPaths is the path set of an index without a dictionary: all of its
+// entries live under the sentinel prefix.
+var noPaths = &pathSet{}
+
+// reads reports whether a scan over the set reads the key's path range.
+func (ps *pathSet) reads(key []byte) bool {
+	path := binary.BigEndian.Uint32(key)
+	return path == sentinelPath || (int(path) < len(ps.member) && ps.member[path])
+}
+
+// siteCacheCap bounds the site patterns an index remembers; scans for
+// further sites resolve their paths per scan.
+const siteCacheCap = 64
+
+// sitePathsLocked returns the path set a scan for site reads, covering
+// every path the index has matched so far (no entry exists on a later
+// one). The caller holds x.mu, read or write, so x.matched is stable.
+func (x *Index) sitePathsLocked(site xpath.Path) *pathSet {
+	if x.matcher == nil {
+		return noPaths
+	}
+	sp := x.siteFor(site)
+	if ps := sp.set.Load(); len(ps.member) >= len(x.matched) {
+		return ps
+	}
+	return sp.extend(x.matched, x.dict.Snapshot())
+}
+
+// siteFor finds the cache entry for a site pattern, adding one on a
+// miss. Lookups compare patterns structurally and allocate nothing.
+func (x *Index) siteFor(site xpath.Path) *sitePaths {
+	if cached := x.sites.Load(); cached != nil {
+		for _, sp := range *cached {
+			if sp.site.EqualLinear(site) {
+				return sp
+			}
+		}
+	}
+	x.sitesMu.Lock()
+	defer x.sitesMu.Unlock()
+	var cached []*sitePaths
+	if p := x.sites.Load(); p != nil {
+		cached = *p
+	}
+	for _, sp := range cached {
+		if sp.site.EqualLinear(site) {
+			return sp
+		}
+	}
+	sp := &sitePaths{site: site.StripPreds()}
+	if xpath.CompilablePattern(sp.site) {
+		sp.matcher = xpath.NewPathMatcher(sp.site)
+	}
+	sp.set.Store(noPaths)
+	if len(cached) < siteCacheCap {
+		next := append(cached[:len(cached):len(cached)], sp)
+		x.sites.Store(&next)
+	}
+	return sp
+}
+
+// extend decides the dictionary entries from the set's current extent
+// up to len(matched): a path qualifies when the index pattern matched it
+// and the site pattern matches it too.
+func (sp *sitePaths) extend(matched []bool, entries []xmltree.PathEntry) *pathSet {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	ps := sp.set.Load()
+	if len(ps.member) >= len(matched) {
+		return ps
+	}
+	if sp.matcher != nil {
+		sp.states = sp.matcher.ExtendStates(entries[:len(matched)], sp.states)
+	}
+	next := &pathSet{pids: ps.pids, member: ps.member}
+	for pid := len(ps.member); pid < len(matched); pid++ {
+		in := matched[pid] && (sp.matcher == nil || sp.matcher.Matched(sp.states[pid]))
+		next.member = append(next.member, in)
+		if in {
+			next.pids = append(next.pids, uint32(pid))
+		}
+	}
+	sp.set.Store(next)
+	return next
 }
 
 // typeFloor/typeCeil bound the key space of one type tag, so ranges do

@@ -262,6 +262,22 @@ func Concat(prefix Path, suffix Path) Path {
 // Equal reports structural equality of two paths, including predicates.
 func (p Path) Equal(q Path) bool { return p.String() == q.String() && p.Relative == q.Relative }
 
+// EqualLinear reports whether two paths have the same linear skeleton:
+// the same relativity, axes and name tests, predicates ignored. Unlike
+// Equal it renders nothing, so hot paths can compare patterns without
+// allocating.
+func (p Path) EqualLinear(q Path) bool {
+	if p.Relative != q.Relative || len(p.Steps) != len(q.Steps) {
+		return false
+	}
+	for i := range p.Steps {
+		if p.Steps[i].Axis != q.Steps[i].Axis || p.Steps[i].Test != q.Steps[i].Test {
+			return false
+		}
+	}
+	return true
+}
+
 // LastStep returns the final step of the path. It panics on empty paths.
 func (p Path) LastStep() Step {
 	if len(p.Steps) == 0 {

@@ -95,6 +95,25 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+func TestEqualLinear(t *testing.T) {
+	a := MustParse("/a/b[c=1]")
+	for _, tc := range []struct {
+		q    string
+		want bool
+	}{
+		{"/a/b[c=2]", true}, // predicates ignored
+		{"/a/b", true},
+		{"a/b", false},
+		{"/a//b", false},
+		{"/a/*", false},
+		{"/a/b/c", false},
+	} {
+		if got := a.EqualLinear(MustParse(tc.q)); got != tc.want {
+			t.Errorf("EqualLinear(%s, %s) = %v, want %v", a, tc.q, got, tc.want)
+		}
+	}
+}
+
 func TestPredString(t *testing.T) {
 	p := MustParse(`/a[b]`)
 	if got := p.Steps[0].Preds[0].String(); got != "[b]" {
